@@ -11,22 +11,25 @@ saturates earliest (lowest nnzb/nb), mat3-on-SNB latest — the paper's
 8/12/16 vectors-at-2x ordering.
 
 Measurement notes: scipy's sparse-times-dense loops over columns
-(re-streaming the matrix), so the *tiled* engine — one fused pass over
-the matrix per tile, temporaries cache-blocked to a fixed budget — is
-the kernel measured here.  On a DRAM-resident 20k-block-row matrix it
-achieves r(8) ~ 1.5 and r(16) ~ 2.4 wall-clock: the paper's "8 to 16
-vectors in only twice the time" headline, reproduced in real
-measurements on this host (the paper-machine curves additionally come
-from the calibrated roofline model).
+(re-streaming the matrix), so the generated C kernel (``cgen``, one
+fused pass over the matrix per product) is the kernel measured here;
+the bench is skipped without a C toolchain.  On a DRAM-resident
+20k-block-row matrix on a shared 2-core x86-64 host it achieved
+r(2) ~ 0.7-1.0, r(4) ~ 0.7-1.3, r(8) ~ 1.0-1.8 and r(16) ~ 1.9-3.1
+wall-clock over six runs: the paper's "8 to 16 vectors in only twice the time" headline, reproduced
+in real measurements (the paper-machine curves additionally come from
+the calibrated roofline model).
 """
 
 import time
 
 import numpy as np
+import pytest
 
 from benchmarks._cases import emit, scaled_paper_matrix, synthetic_matrix
 from repro.perfmodel.machine import SANDY_BRIDGE, WESTMERE
 from repro.perfmodel.roofline import GspmvTimeModel
+from repro.sparse import kernels_cgen
 from repro.sparse.gspmv import gspmv
 from repro.util.tables import format_table
 
@@ -38,11 +41,11 @@ def vectors_at_2x(rs, ms):
     return max(under) if under else 1
 
 
-def measured_relative_times(A, m_values, repeats=3, engine="tiled"):
+def measured_relative_times(A, m_values, repeats=3, engine="cgen"):
     """Wall-clock r(m) of the host GSPMV on a DRAM-sized matrix.
 
-    Uses the cache-blocked tiled engine — the layout whose traffic the
-    performance model counts, with temporaries held to a fixed budget.
+    Uses the generated C kernel — one fused pass over the matrix per
+    product, the layout whose traffic the performance model counts.
     """
     times = {}
     for m in m_values:
@@ -80,11 +83,12 @@ MEASURED_M = [1, 2, 4, 8, 16]
 def _report() -> str:
     rows, at2x = _model_rows()
     A_host = synthetic_matrix(20_000, 25.0)
-    measured = measured_relative_times(A_host, MEASURED_M)
+    measured = dict(
+        zip(MEASURED_M, measured_relative_times(A_host, MEASURED_M))
+    )
     rows.append(
         ["host/measured"]
-        + [round(r, 2) for r in measured]
-        + ["-"] * (len(M_VALUES) - len(MEASURED_M))
+        + [round(measured[m], 2) if m in measured else "-" for m in M_VALUES]
     )
     table = format_table(
         ["case", *[f"m={m}" for m in M_VALUES]],
@@ -103,6 +107,7 @@ def _report() -> str:
     return table + "\n\n" + summary
 
 
+@pytest.mark.skipif(not kernels_cgen.available(), reason="no C toolchain")
 def test_fig2_relative_time(benchmark):
     report = _report()
     _, at2x = _model_rows()

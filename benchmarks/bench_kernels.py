@@ -137,11 +137,7 @@ def collect() -> dict:
             str(m): s for m, s in speedup_vs_scipy.items()
         },
         "profiles": {
-            e: {
-                "bw_scale": p.bw_scale,
-                "flop_scale": p.flop_scale,
-                "block_traffic_scale": p.block_traffic_scale,
-            }
+            e: {"bw_scale": p.bw_scale, "flop_scale": p.flop_scale}
             for e, p in profiles.items()
         },
         "roofline_rows": rows,

@@ -186,8 +186,13 @@ class AutoSelector:
         schemas are rejected and rebuilt; entries failing their checksum
         are skipped (``autotune_corrupt``); entries tuned under a
         different host fingerprint are skipped (``autotune_stale``) but
-        left on disk for the machine they belong to.
+        left on disk for the machine they belong to.  An entry whose
+        winner is no longer a registry engine is skipped
+        (``autotune_stale``) so its shape is retuned; timings of such
+        engines are dropped from otherwise valid entries.
         """
+        from repro.sparse.kernels import ENGINE_NAMES
+
         marker = str(directory)
         if marker in self._loaded_dirs:
             return
@@ -236,6 +241,18 @@ class AutoSelector:
                     reason=f"host fingerprint changed for {key!r}",
                 )
                 continue
+            if record["engine"] not in ENGINE_NAMES:
+                self._watch.record(
+                    "autotune_stale", "auto",
+                    reason=f"unknown engine {record['engine']!r} for {key!r}",
+                )
+                continue
+            timings = record.get("timings", {})
+            if not set(timings) <= set(ENGINE_NAMES):
+                record = dict(record, timings={
+                    e: t for e, t in timings.items() if e in ENGINE_NAMES
+                })
+                record["checksum"] = _entry_checksum(record)
             self._memory.setdefault(key, record)
 
     def _persist(self, directory: Path) -> None:
@@ -345,7 +362,7 @@ class AutoSelector:
                 # event log rather than as a mysteriously absent timing.
                 watch.record("autotune_skip", engine, shape, str(exc))
                 continue
-        if not timings:  # pragma: no cover - blocked/tiled always run
+        if not timings:  # pragma: no cover - blocked always runs
             raise RuntimeError("no kernel engine could be benchmarked")
         best = min(timings, key=timings.get)
         record = {

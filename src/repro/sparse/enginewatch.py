@@ -1,18 +1,18 @@
 """Self-healing runtime for the GSPMV engine tier (the engine watchdog).
 
-PR 6 made the hot path depend on per-machine compiled artifacts —
-generated C objects, optional JIT kernels, an autotune verdict cache.
-Those are exactly the components that fail in long unattended
-campaigns: missing or broken compilers, truncated cache entries,
-miscompiled kernels that return *wrong numbers* rather than raising.
+The hot path depends on per-machine compiled artifacts — generated C
+objects and an autotune verdict cache.  Those are exactly the
+components that fail in long unattended campaigns: missing or broken
+compilers, truncated cache entries, miscompiled kernels that return
+*wrong numbers* rather than raising.
 The paper's premise is that GSPMV dominates runtime; this module's
 premise is that a wrong-answer kernel is worse than a slow one.
 
 Three cooperating pieces (see DESIGN.md §14):
 
 **Fallback ladder.**  :data:`FALLBACK_LADDER` fixes the demotion order
-``cgen → numba → dedup → tiled → blocked → scipy``.  Any engine-tier
-failure (:class:`EngineFailure`: compile errors, load errors, missing
+``cgen → scipy → blocked``.  Any engine-tier failure
+(:class:`EngineFailure`: compile errors, load errors, missing
 toolchains) demotes the product to the next available rung instead of
 raising, and every demotion is a structured :class:`EngineEvent` —
 recorded to the in-process ring, to telemetry counters
@@ -104,10 +104,10 @@ class LadderExhausted(EngineFailure):
     """
 
 
-#: Demotion order.  Compiled tiers first (fastest, most fragile), the
-#: NumPy tiers last; ``blocked`` is the reference the shadow checks
-#: compare against and can never be quarantined.
-FALLBACK_LADDER = ("cgen", "numba", "dedup", "tiled", "blocked", "scipy")
+#: Demotion order: the generated C tier first (fastest, most fragile),
+#: then scipy's BSR kernel, then ``blocked`` — the reference the shadow
+#: checks compare against, which can never be quarantined.
+FALLBACK_LADDER = ("cgen", "scipy", "blocked")
 
 #: The trusted pure-NumPy engine shadow verification recomputes with.
 REFERENCE_ENGINE = "blocked"

@@ -1,5 +1,5 @@
-"""Tests for the auto-m driver, the tiled kernel engine, and the
-distributed operator (solvers on the simulated cluster)."""
+"""Tests for the auto-m driver and the distributed operator (solvers on
+the simulated cluster)."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from repro.sparse.gspmv import gspmv
 from repro.stokesian.dynamics import SDParameters
 from repro.stokesian.packing import random_configuration
 from repro.stokesian.resistance import build_resistance_matrix
-from tests.conftest import random_bcrs
 
 
 @pytest.fixture(scope="module")
@@ -25,39 +24,6 @@ def sd_case():
     system = random_configuration(40, 0.4, rng=0)
     R = build_resistance_matrix(system)
     return system, R
-
-
-class TestTiledEngine:
-    @pytest.mark.parametrize("m", [1, 3, 8])
-    def test_matches_other_engines(self, m):
-        A = random_bcrs(50, 8.0, seed=1)
-        X = np.random.default_rng(m).standard_normal((A.n_cols, m))
-        ref = gspmv(A, X, engine="blocked")
-        np.testing.assert_allclose(gspmv(A, X, engine="tiled"), ref, rtol=1e-12)
-
-    def test_tile_boundaries_with_empty_rows(self):
-        from repro.sparse.bcrs import BCRSMatrix
-        from repro.sparse.kernels import KernelRegistry
-
-        # Empty rows spanning a tile boundary.
-        A = BCRSMatrix.from_block_coo(
-            10, 10, [0, 9], [1, 2], np.stack([np.eye(3), 2 * np.eye(3)])
-        )
-        X = np.random.default_rng(0).standard_normal((A.n_cols, 2))
-        reg = KernelRegistry()
-        out = reg._multiply_tiled(A, X, None, tile_rows=3)
-        np.testing.assert_allclose(out, A.to_dense() @ X, rtol=1e-12)
-
-    def test_out_parameter(self):
-        A = random_bcrs(20, 5.0, seed=2)
-        X = np.ones((A.n_cols, 4))
-        out = np.empty((A.n_rows, 4))
-        Y = gspmv_into = None
-        from repro.sparse.gspmv import gspmv_into
-
-        Y = gspmv_into(A, X, out, engine="tiled")
-        assert Y is out
-        np.testing.assert_allclose(out, gspmv(A, X, engine="scipy"), rtol=1e-12)
 
 
 class TestDistributedOperator:

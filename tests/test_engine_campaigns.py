@@ -41,9 +41,8 @@ needs_cgen = pytest.mark.skipif(
     not kernels_cgen.available(), reason="no C toolchain"
 )
 
-# The rung every cgen failure lands on in this environment (dedup when
-# numba is absent, numba when present) — computed, not hard-coded, so
-# the campaigns stay valid in both CI legs.
+# The rung every cgen failure lands on (scipy) — computed from the
+# ladder, not hard-coded, so the campaigns follow any ladder change.
 LANDING = EngineWatch().next_rung("cgen", set(available_engines()))
 
 
@@ -185,21 +184,26 @@ class TestBrokenToolchainCampaigns:
 @needs_cgen
 class TestQuarantineCheckpointRoundTrip:
     def test_quarantine_survives_kill_and_resume(self, tmp_path):
-        """Kill a quarantining run, resume in a 'fresh process' with the
-        fault gone: cgen is healthy again, but the restored quarantine
-        must keep it shut out, so the stitched trajectory still matches
-        a pure landing-engine run bit for bit."""
+        """Kill a quarantining run and resume in a 'fresh process' with
+        the fault still armed.  The restored quarantine must keep cgen
+        shut out of every shape class it was caught on (no second
+        miscompare there); a shape class first seen after the resume is
+        caught afresh; so the stitched trajectory still matches a pure
+        landing-engine run bit for bit.
+
+        Which shape classes a run touches before the kill depends on
+        the landing engine's rounding (block CG may deflate to fewer
+        columns), so the resumed leg keeps the fault rather than
+        relying on the killed leg having seen every class."""
         kill_at = 3
+        corrupt = FaultSpec(
+            site="engine.multiply",
+            kind="corrupt",
+            at={"engine": "cgen"},
+            times=None,
+        )
         plan = FaultPlan(
-            specs=(
-                FaultSpec(
-                    site="engine.multiply",
-                    kind="corrupt",
-                    at={"engine": "cgen"},
-                    times=None,
-                ),
-                FaultSpec(site="runner.abort", at={"step": kill_at}),
-            )
+            specs=(corrupt, FaultSpec(site="runner.abort", at={"step": kill_at}))
         )
         man = CheckpointManager(tmp_path)
         prev = set_default_engine("cgen")
@@ -224,8 +228,15 @@ class TestQuarantineCheckpointRoundTrip:
             resumed = resume_driver(state)
             assert set(watch.quarantined) == quarantined_before
             assert watch.cadence == 1  # re-armed from the checkpoint
-            ResilientRunner(resumed).run_steps(STEPS - kill_at)
+            ResilientRunner(
+                resumed, injector=FaultPlan(specs=(corrupt,))
+            ).run_steps(STEPS - kill_at)
             final = np.array(resumed.sd.system.positions, copy=True)
+            caught_again = {
+                f"{e.engine}|{e.shape}"
+                for e in watch.events if e.kind == "verify_fail"
+            }
+            assert not caught_again & quarantined_before
         finally:
             set_default_engine(prev)
             watch.reset()

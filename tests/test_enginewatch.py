@@ -67,33 +67,31 @@ def reference(A, X):
 # ----------------------------------------------------------------------
 class TestLadder:
     def test_ladder_order_and_reference(self):
-        assert FALLBACK_LADDER == (
-            "cgen", "numba", "dedup", "tiled", "blocked", "scipy"
-        )
+        assert FALLBACK_LADDER == ("cgen", "scipy", "blocked")
         assert REFERENCE_ENGINE in FALLBACK_LADDER
 
     def test_next_rung_skips_unavailable(self):
         watch = EngineWatch()
-        rung = watch.next_rung("cgen", {"dedup", "tiled", "blocked"})
-        assert rung == "dedup"
-        rung = watch.next_rung("cgen", {"tiled", "blocked"})
-        assert rung == "tiled"
+        rung = watch.next_rung("cgen", {"scipy", "blocked"})
+        assert rung == "scipy"
+        rung = watch.next_rung("cgen", {"blocked"})
+        assert rung == "blocked"
 
     def test_next_rung_skips_quarantined_for_shape(self):
         watch = EngineWatch()
-        watch.quarantine("dedup", "s1")
+        watch.quarantine("scipy", "s1")
         assert watch.next_rung(
-            "numba", {"dedup", "tiled", "blocked"}, "s1"
-        ) == "tiled"
-        # Other shape classes still trust dedup.
+            "cgen", {"scipy", "blocked"}, "s1"
+        ) == "blocked"
+        # Other shape classes still trust scipy.
         assert watch.next_rung(
-            "numba", {"dedup", "tiled", "blocked"}, "s2"
-        ) == "dedup"
+            "cgen", {"scipy", "blocked"}, "s2"
+        ) == "scipy"
 
     def test_exhausted_ladder_records_fatal_and_raises(self):
         watch = EngineWatch()
         with pytest.raises(LadderExhausted):
-            watch.next_rung("scipy", set(AVAILABLE))
+            watch.next_rung(REFERENCE_ENGINE, set(AVAILABLE))
         assert watch.counts.get("ladder_exhausted") == 1
         assert watch.events[-1].kind == "ladder_exhausted"
 
@@ -118,10 +116,10 @@ class TestLadder:
         watch.quarantine("cgen", "s1")
         state = watch.to_state()
         other = EngineWatch()
-        other.quarantine("numba", "s2")
+        other.quarantine("scipy", "s2")
         other.load_state(state)
         assert other.is_quarantined("cgen", "s1")
-        assert other.is_quarantined("numba", "s2")
+        assert other.is_quarantined("scipy", "s2")
         # An unconfigured process adopts the checkpointed cadence ...
         assert other.cadence == 8
         # ... but an explicitly configured one keeps its own.
@@ -185,13 +183,13 @@ class TestWatchedDispatch:
         reg = KernelRegistry()
         spec = FaultSpec(
             site="engine.multiply", kind="raise",
-            at={"engine": "tiled"}, times=None,
+            at={"engine": "scipy"}, times=None,
         )
         with armed(spec):
-            Y = reg.multiply(A, X, engine="tiled")
+            Y = reg.multiply(A, X, engine="scipy")
         np.testing.assert_allclose(Y, reference(A, X), rtol=1e-11)
         assert reg.watch.counts["engine_failure"] >= 1
-        # A demotion is not a quarantine: tiled stays trusted.
+        # A demotion is not a quarantine: scipy stays trusted.
         assert not reg.watch.has_quarantines
 
     @pytest.mark.parametrize("kind", ["corrupt", "scale", "nan"])
@@ -200,18 +198,18 @@ class TestWatchedDispatch:
         reg.watch.configure(cadence=1, full_every=1)
         spec = FaultSpec(
             site="engine.multiply", kind=kind,
-            at={"engine": "tiled"}, times=None,
+            at={"engine": "scipy"}, times=None,
         )
         with armed(spec):
-            Y = reg.multiply(A, X, engine="tiled")
+            Y = reg.multiply(A, X, engine="scipy")
         np.testing.assert_allclose(Y, reference(A, X), rtol=1e-11)
         shape = shape_class(A, X.shape[1])
-        assert reg.watch.is_quarantined("tiled", shape)
+        assert reg.watch.is_quarantined("scipy", shape)
         assert reg.watch.counts["verify_fail"] == 1
         assert reg.watch.verify_failures >= 1
         # Later products route around the quarantined engine silently.
         with armed(spec):
-            Y2 = reg.multiply(A, X, engine="tiled")
+            Y2 = reg.multiply(A, X, engine="scipy")
         np.testing.assert_allclose(Y2, reference(A, X), rtol=1e-11)
         assert reg.watch.counts["verify_fail"] == 1
 
@@ -233,10 +231,10 @@ class TestWatchedDispatch:
         reg.watch.configure(cadence=1, full_every=10**6, sample_rows=8)
         spec = FaultSpec(
             site="engine.multiply", kind="scale",
-            at={"engine": "tiled"}, times=None, factor=7.0,
+            at={"engine": "scipy"}, times=None, factor=7.0,
         )
         with armed(spec):
-            Y = reg.multiply(A, X, engine="tiled")
+            Y = reg.multiply(A, X, engine="scipy")
         # scale corrupts every element, so even a sample sees it.
         np.testing.assert_allclose(Y, reference(A, X), rtol=1e-11)
         assert reg.watch.verify_failures >= 1
@@ -244,9 +242,9 @@ class TestWatchedDispatch:
     def test_resolve_routes_around_quarantine(self, A):
         reg = KernelRegistry()
         shape = shape_class(A, 4)
-        reg.watch.quarantine("tiled", shape)
-        resolved = reg.resolve_engine(A, 4, "tiled")
-        assert resolved != "tiled"
+        reg.watch.quarantine("scipy", shape)
+        resolved = reg.resolve_engine(A, 4, "scipy")
+        assert resolved != "scipy"
         assert resolved in AVAILABLE
 
     def test_quarantined_scipy_falls_back_to_reference(self, A):
@@ -263,10 +261,10 @@ class TestWatchedDispatch:
         try:
             spec = FaultSpec(
                 site="engine.multiply", kind="corrupt",
-                at={"engine": "tiled"}, times=1,
+                at={"engine": "scipy"}, times=1,
             )
             with armed(spec):
-                reg.multiply(A, X, engine="tiled")
+                reg.multiply(A, X, engine="scipy")
         finally:
             hub.close()
             _telemetry.uninstall()
@@ -291,10 +289,10 @@ class TestWatchedDispatch:
         reg.watch.attach_monitor(monitor)
         spec = FaultSpec(
             site="engine.multiply", kind="nan",
-            at={"engine": "tiled"}, times=1,
+            at={"engine": "scipy"}, times=1,
         )
         with armed(spec):
-            reg.multiply(A, X, engine="tiled")
+            reg.multiply(A, X, engine="scipy")
         checks = {r.check for r in monitor.report.results}
         assert "engine-quarantine" in checks
         assert monitor.report.worst() is Severity.WARN
@@ -332,6 +330,12 @@ class TestCgenPipeline:
                 Y = reg.multiply(A, X, engine="cgen")
             np.testing.assert_allclose(Y, reference(A, X), rtol=1e-11)
             assert any("cgen" in str(w.message) for w in caught)
+            assert reg.watch.counts.get("fallback") == 1
+            # warned and recorded once, not per call
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                reg.multiply(A, X, engine="cgen")
+            assert not caught
             assert reg.watch.counts.get("fallback") == 1
         finally:
             kernels_cgen._reset()
@@ -429,7 +433,7 @@ class TestAutotuneHardening:
 
     def test_v1_schema_is_rejected(self, A, tmp_path):
         (tmp_path / CACHE_FILENAME).write_text(
-            json.dumps({"somekey": {"engine": "tiled"}}), encoding="utf-8"
+            json.dumps({"somekey": {"engine": "scipy"}}), encoding="utf-8"
         )
         reg = KernelRegistry()
         sel = AutoSelector(reg, cache_dir=tmp_path, repeats=1)
@@ -463,6 +467,46 @@ class TestAutotuneHardening:
         assert sel2.select(A, 4) in AVAILABLE
         assert reg2.watch.counts.get("autotune_stale", 0) >= 1
 
+    def test_entry_naming_removed_engine_is_retuned(self, A, X, tmp_path):
+        # A verdict file written before an engine was removed: valid
+        # checksum, this host's fingerprint, but a winner the registry
+        # no longer has.  ``auto`` must retune instead of dispatching it.
+        self._tuned_selector(A, tmp_path)
+        path = tmp_path / CACHE_FILENAME
+        data = json.loads(path.read_text(encoding="utf-8"))
+        for record in data["entries"].values():
+            record["engine"] = "dedup"
+            record["timings"]["dedup"] = 1e-9
+            record["checksum"] = _entry_checksum(record)
+        path.write_text(json.dumps(data), encoding="utf-8")
+        reg = KernelRegistry()
+        reg._selector = AutoSelector(reg, cache_dir=tmp_path, repeats=1)
+        Y = reg.multiply(A, X, engine="auto")
+        np.testing.assert_allclose(Y, reference(A, X), rtol=1e-11)
+        assert reg.watch.counts.get("autotune_stale", 0) >= 1
+        record = reg.selector.record(A, 4)
+        assert record["engine"] in AVAILABLE
+        assert set(record["timings"]) <= set(AVAILABLE)
+        on_disk = json.loads(path.read_text(encoding="utf-8"))
+        assert on_disk["entries"][record["key"]]["engine"] in AVAILABLE
+
+    def test_removed_engine_timings_are_dropped(self, A, tmp_path):
+        reg, sel = self._tuned_selector(A, tmp_path)
+        winner = sel.record(A, 4)["engine"]
+        path = tmp_path / CACHE_FILENAME
+        data = json.loads(path.read_text(encoding="utf-8"))
+        for record in data["entries"].values():
+            record["timings"]["tiled"] = 1.0
+            record["checksum"] = _entry_checksum(record)
+        path.write_text(json.dumps(data), encoding="utf-8")
+        reg2 = KernelRegistry()
+        sel2 = AutoSelector(reg2, cache_dir=tmp_path, repeats=1)
+        sel2._tune = None  # the valid winner is reused, not retuned
+        record = sel2.record(A, 4)
+        assert record["engine"] == winner
+        assert "tiled" not in record["timings"]
+        assert record["checksum"] == _entry_checksum(record)
+
     def test_torn_read_fault_site(self, A, tmp_path):
         self._tuned_selector(A, tmp_path)
         reg = KernelRegistry()
@@ -486,10 +530,10 @@ class TestAutotuneHardening:
 
     def test_tune_skips_quarantined_engines(self, A, tmp_path):
         reg = KernelRegistry()
-        reg.watch.quarantine("tiled", shape_class(A, 4))
+        reg.watch.quarantine("scipy", shape_class(A, 4))
         sel = AutoSelector(reg, cache_dir=tmp_path, repeats=1)
         record = sel.record(A, 4)
-        assert "tiled" not in record["timings"]
+        assert "scipy" not in record["timings"]
         assert reg.watch.counts.get("autotune_skip", 0) >= 1
 
 
@@ -499,12 +543,12 @@ class TestAutotuneHardening:
 def test_trusted_profiles_drops_quarantined():
     profiles = {
         "cgen": EngineProfile(engine="cgen"),
-        "tiled": EngineProfile(engine="tiled"),
+        "scipy": EngineProfile(engine="scipy"),
     }
     kept = trusted_profiles(profiles, {"cgen"})
-    assert set(kept) == {"tiled"}
+    assert set(kept) == {"scipy"}
     kept = trusted_profiles(profiles.values(), set())
-    assert set(kept) == {"cgen", "tiled"}
+    assert set(kept) == {"cgen", "scipy"}
 
 
 def test_engine_fault_sites_catalogued():

@@ -23,8 +23,11 @@ from repro.resilience import (
     unpack_state,
 )
 from repro.io import atomic_savez
+from repro.sparse import get_engine_watch
+from repro.sparse.enginewatch import shape_class
 from repro.stokesian.dynamics import SDParameters, StokesianDynamics
 from repro.stokesian.packing import random_configuration
+from repro.stokesian.resistance import build_resistance_matrix
 
 N, PHI, M = 24, 0.2, 4
 N_STEPS = 8
@@ -302,6 +305,48 @@ class TestBitExactResume:
         if driver.pending is not None:
             total += driver.pending.k
         assert total == N_STEPS
+
+    def test_state_from_before_engine_removal_resumes(self, tmp_path):
+        """A checkpoint written while ``SDParameters`` still had an
+        ``engine`` field and the ``dedup`` engine existed: the legacy
+        parameter is ignored, the quarantine naming the removed engine
+        is harmless, and the resumed run is still bit-identical."""
+        kill_at = 3
+        full = ResilientRunner(_mrhs_driver())
+        full.run_steps(N_STEPS)
+        reference = full.driver.sd.system.positions
+
+        man = CheckpointManager(tmp_path)
+        killed = ResilientRunner(
+            _mrhs_driver(),
+            manager=man,
+            checkpoint_every=1,
+            injector=FaultPlan(
+                specs=(FaultSpec(site="runner.abort", at={"step": kill_at}),)
+            ),
+        )
+        with pytest.raises(SimulationKilled):
+            killed.run_steps(N_STEPS)
+
+        state, _, _ = man.load_latest()
+        state["sd"]["params"]["engine"] = "dedup"
+        R = build_resistance_matrix(killed.driver.sd.system)
+        state["enginewatch"]["quarantined"] += [
+            f"dedup|{shape_class(R, m)}" for m in (1, M)
+        ]
+        watch = get_engine_watch()
+        try:
+            driver = resume_driver(state)
+            assert watch.is_quarantined("dedup", shape_class(R, M))
+            ResilientRunner(driver).run_steps(N_STEPS - kill_at)
+        finally:
+            watch.reset()
+        assert np.array_equal(driver.sd.system.positions, reference)
+
+        sd_state = _sd_driver().get_state()
+        sd_state["params"]["engine"] = "dedup"
+        sd = StokesianDynamics.from_state(sd_state)
+        assert sd.params == SDParameters()
 
     def test_resume_driver_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown checkpoint kind"):
