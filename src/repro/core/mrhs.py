@@ -55,7 +55,7 @@ from repro.stokesian.dynamics import (
 from repro.stokesian.particles import ParticleSystem
 from repro.telemetry import NULL_HUB, NULL_SPAN, TelemetryHub
 from repro.util.rng import RngLike
-from repro.util.timer import Stopwatch, TimingRecord
+from repro.util.timer import TimingRecord
 
 __all__ = ["MrhsParameters", "ChunkRecord", "MrhsStokesianDynamics"]
 
@@ -307,22 +307,21 @@ class MrhsStokesianDynamics:
         m = self.mrhs.m if m is None else int(m)
         if m < 1:
             raise ValueError("m must be >= 1")
-        sw = Stopwatch()
         tr = self.telemetry.tracer
         # The chunk span stays open across the m in-chunk steps (they
         # nest under it) and is closed by _finish_chunk — or right here
         # when the block solve breaks, so no span leaks past the abort.
         self._chunk_span = tr.start("chunk", chunk=len(self.chunks), m=m)
         try:
-            with sw.phase("Construct R0"), tr.span("Construct R0"):
+            with tr.span("Construct R0") as t_r0:
                 R0 = self.sd.build_matrix()
             Z = self.sd.draw_noise(m)
             if Z.ndim == 1:
                 Z = Z[:, None]
-            with sw.phase("Cheb vectors"), tr.span("Cheb vectors"):
+            with tr.span("Cheb vectors") as t_cheb:
                 gen = self.sd.brownian_generator(R0)
                 F_B = gen.generate(Z)
-            with sw.phase("Calc guesses"), tr.span("Calc guesses"):
+            with tr.span("Calc guesses") as t_guess:
                 # The deterministic force at the chunk-start configuration
                 # seeds every column (f^P drifts as slowly as R does).
                 rhs = -F_B + self.sd.external_forces()[:, None]
@@ -344,7 +343,7 @@ class MrhsStokesianDynamics:
             block_converged=block.converged,
             block_diagnostics=block.diagnostics,
             fallback_columns=fallback,
-            chunk_timings=sw.record(),
+            chunk_timings=TimingRecord.from_spans(t_r0, t_cheb, t_guess),
         )
         if self.sd.health is not None:
             self.sd.health.observe_block(

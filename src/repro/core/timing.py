@@ -3,7 +3,9 @@
 Tables VI and VII print, for each configuration, the average seconds
 per time step spent in each phase: "Cheb vectors", "Calc guesses",
 "Cheb single", "1st solve", "2nd solve", and the overall "Average".
-These helpers compute those rows from the drivers' records.
+These helpers compute those rows from the drivers' records.  "Average"
+sums every named phase, so it also counts the phases the paper does
+not print (assembly, neighbor search, displacement).
 """
 
 from __future__ import annotations

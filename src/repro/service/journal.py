@@ -47,6 +47,7 @@ import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.io import fsync_dir
 from repro.resilience.faults import fire_fault
 from repro.resources.iofaults import check_io_faults
 from repro.service.errors import ManagerKilled
@@ -271,11 +272,7 @@ class JobJournal:
             )
         self.close()
         os.replace(tmp, self.path)
-        dir_fd = os.open(self.path.parent or Path("."), os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        fsync_dir(self.path)
         self._seq = 1
         if kill_after_replace:
             raise ManagerKilled("manager killed after compaction swap")

@@ -280,12 +280,16 @@ class AutoSelector:
             fd, tmp = tempfile.mkstemp(
                 dir=directory, prefix=".autotune-", suffix=".json"
             )
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(
-                    {"schema": SCHEMA_VERSION, "entries": merged},
-                    fh, indent=2, sort_keys=True,
-                )
-            os.replace(tmp, path)
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    json.dump(
+                        {"schema": SCHEMA_VERSION, "entries": merged},
+                        fh, indent=2, sort_keys=True,
+                    )
+                os.replace(tmp, path)
+            except BaseException:
+                Path(tmp).unlink(missing_ok=True)
+                raise
         except OSError:
             pass  # read-only dir: selection still works, memory-only
 

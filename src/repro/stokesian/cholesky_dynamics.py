@@ -40,8 +40,9 @@ from repro.stokesian.integrators import apply_displacement
 from repro.stokesian.neighbors import neighbor_pairs
 from repro.stokesian.particles import ParticleSystem
 from repro.stokesian.resistance import build_resistance_matrix
+from repro.telemetry import NULL_TRACER
 from repro.util.rng import RngLike, as_rng
-from repro.util.timer import Stopwatch, TimingRecord
+from repro.util.timer import TimingRecord
 
 __all__ = ["CholeskyStepRecord", "CholeskyStokesianDynamics"]
 
@@ -89,29 +90,31 @@ class CholeskyStokesianDynamics:
     def step(self, *, z: Optional[np.ndarray] = None) -> CholeskyStepRecord:
         """Advance one time step; exactly one Cholesky factorization."""
         p = self.params
-        sw = Stopwatch()
+        tr = NULL_TRACER
         if z is None:
             z = self.rng.standard_normal(self.system.dof)
 
-        with sw.phase("Construct R"):
+        with tr.span("Construct R") as t_r:
             R_k = self.build_matrix()
-        with sw.phase("Factor"):
+        with tr.span("Factor") as t_factor:
             chol = CholeskySolver(R_k)
-        with sw.phase("Brownian (exact)"):
+        with tr.span("Brownian (exact)") as t_brown:
             f_b = p.force_scale * chol.sample_correlated(z=z)
-        with sw.phase("1st solve (direct)"):
+        with tr.span("1st solve (direct)") as t_first:
             u_k = chol.solve(-f_b)
 
-        gap = p.cutoff_gap
-        if gap is None:
-            gap = float(np.mean(self.system.radii))
-        nl = neighbor_pairs(self.system, max_gap=gap)
-        half_system, _ = apply_displacement(
-            self.system, 0.5 * p.dt * u_k, nl, safety=p.overlap_safety
-        )
-        with sw.phase("Construct R half"):
+        with tr.span("Neighbor search") as t_nl:
+            gap = p.cutoff_gap
+            if gap is None:
+                gap = float(np.mean(self.system.radii))
+            nl = neighbor_pairs(self.system, max_gap=gap)
+        with tr.span("Displace half") as t_half:
+            half_system, _ = apply_displacement(
+                self.system, 0.5 * p.dt * u_k, nl, safety=p.overlap_safety
+            )
+        with tr.span("Construct R half") as t_r_half:
             R_half = self.build_matrix(half_system)
-        with sw.phase("2nd solve (refinement)"):
+        with tr.span("2nd solve (refinement)") as t_second:
             # The frozen factor of R_k approximates R_{k+1/2}^{-1}; the
             # first solve's solution is the initial guess.
             refined = iterative_refinement(
@@ -121,16 +124,19 @@ class CholeskyStokesianDynamics:
                 x0=u_k,
                 tol=p.tol,
             )
-
-        new_system, _ = apply_displacement(
-            self.system, p.dt * refined.x, nl, safety=p.overlap_safety
-        )
+        with tr.span("Displace") as t_full:
+            new_system, _ = apply_displacement(
+                self.system, p.dt * refined.x, nl, safety=p.overlap_safety
+            )
         self.system = new_system
         record = CholeskyStepRecord(
             step_index=self.step_index,
             refinement_iterations=refined.iterations,
             refinement_converged=refined.converged,
-            timings=sw.record(),
+            timings=TimingRecord.from_spans(
+                t_r, t_factor, t_brown, t_first, t_nl, t_half, t_r_half,
+                t_second, t_full,
+            ),
             factorizations=1,
         )
         self.step_index += 1

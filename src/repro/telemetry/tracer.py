@@ -13,9 +13,14 @@ run extends the same trace).  Without a sink the buffer keeps the most
 recent ``buffer_size`` events and counts what it dropped — tracing
 never grows without bound and never raises into the simulation.
 
+Spans are also the drivers' only phase clock: a span records its own
+:attr:`~Span.duration` when it closes, and the per-phase timings of a
+step or chunk are read from the spans that timed them.
+
 :class:`NullTracer` is the disabled implementation: every method is a
-no-op returning shared singletons, so an uninstrumented run pays one
-attribute lookup and one no-op call per span site.
+no-op returning shared singletons, except :meth:`NullTracer.span`,
+which times its block (two clock reads) so that an untraced driver
+still gets its phase timings.
 """
 
 from __future__ import annotations
@@ -93,9 +98,13 @@ class SpanEvent:
 class Span:
     """An *open* span; closed by :meth:`end` (or the tracer's context
     manager).  Mutating :attr:`attrs` before the end is how call sites
-    attach results (iteration counts, convergence flags) to the span."""
+    attach results (iteration counts, convergence flags) to the span.
+    :attr:`duration` is 0.0 until the span closes, then equals the
+    ``duration`` of its trace event."""
 
-    __slots__ = ("name", "span_id", "parent_id", "start", "attrs", "_tracer")
+    __slots__ = (
+        "name", "span_id", "parent_id", "start", "duration", "attrs", "_tracer"
+    )
 
     def __init__(
         self,
@@ -111,6 +120,7 @@ class Span:
         self.span_id = span_id
         self.parent_id = parent_id
         self.start = start
+        self.duration = 0.0
         self.attrs = attrs
 
     def set(self, **attrs: Any) -> "Span":
@@ -146,8 +156,27 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
+class _TimedSpan(_NullSpan):
+    """What :meth:`NullTracer.span` yields: a no-op span that times its
+    block (no id, no stack, no buffer)."""
+
+    __slots__ = ("name", "start", "duration")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.duration = 0.0
+
+    def __enter__(self) -> "_TimedSpan":
+        self.start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.duration = time.perf_counter() - self.start
+
+
 class NullTracer:
-    """The disabled tracer: every operation is a cheap no-op."""
+    """The disabled tracer: every operation is a cheap no-op, except that
+    :meth:`span` times its block."""
 
     __slots__ = ()
     open_spans = 0
@@ -159,8 +188,8 @@ class NullTracer:
     def end(self, span: Any, **attrs: Any) -> None:
         pass
 
-    def span(self, name: str, **attrs: Any) -> _NullSpan:
-        return NULL_SPAN
+    def span(self, name: str, **attrs: Any) -> _TimedSpan:
+        return _TimedSpan(name)
 
     def record(self, name: str, duration: float, **attrs: Any) -> None:
         pass
@@ -379,13 +408,14 @@ class Tracer:
 
     # ------------------------------------------------------------------
     def _emit(self, span: Span, end_t: float) -> None:
+        span.duration = max(0.0, end_t - span.start)
         self._buffer.append(
             SpanEvent(
                 name=span.name,
                 span_id=span.span_id,
                 parent_id=span.parent_id,
                 start=span.start,
-                duration=max(0.0, end_t - span.start),
+                duration=span.duration,
                 attrs=span.attrs,
             )
         )

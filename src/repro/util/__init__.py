@@ -1,4 +1,5 @@
-"""Shared utilities: deterministic RNG plumbing, timers, table rendering.
+"""Shared utilities: deterministic RNG plumbing, per-phase timing
+records (built from tracer spans), table rendering.
 
 These helpers are deliberately tiny and dependency-free so that every
 other subpackage (sparse kernels, performance model, Stokesian dynamics)
@@ -6,7 +7,7 @@ can import them without cycles.
 """
 
 from repro.util.rng import as_rng, rng_from_json, rng_state_to_json, spawn_rngs
-from repro.util.timer import Stopwatch, TimingRecord
+from repro.util.timer import TimingRecord
 from repro.util.tables import format_table, format_row
 from repro.util.validation import (
     check_finite,
@@ -20,7 +21,6 @@ __all__ = [
     "spawn_rngs",
     "rng_state_to_json",
     "rng_from_json",
-    "Stopwatch",
     "TimingRecord",
     "format_table",
     "format_row",

@@ -1,19 +1,17 @@
-"""Wall-clock timing helpers.
+"""Per-phase wall-clock records.
 
-:class:`Stopwatch` accumulates named phase durations; the MRHS driver
-uses one to produce the per-phase breakdowns of Tables VI and VII
-("Cheb vectors", "Calc guesses", "Cheb single", "1st solve", "2nd solve").
-:class:`TimingRecord` is the immutable result of one timing session.
+:class:`TimingRecord` holds the seconds one step or chunk spent in each
+named phase — the raw data of the Tables VI and VII breakdowns ("Cheb
+vectors", "Calc guesses", "Cheb single", "1st solve", "2nd solve").
+The drivers build it with :meth:`TimingRecord.from_spans` from the
+tracer spans that timed each phase; the tracer is the only phase clock.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Set
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping
 
 
 @dataclass(frozen=True)
@@ -23,97 +21,16 @@ class TimingRecord:
     phases: Mapping[str, float]
     counts: Mapping[str, int]
 
-    def total(self) -> float:
-        # fsum over sorted keys: exact and order-independent, so
-        # a.merged(b).total() == b.merged(a).total() regardless of dict
-        # insertion order.
-        return math.fsum(self.phases[k] for k in sorted(self.phases))
-
-    def fraction(self, phase: str) -> float:
-        """Fraction of total time spent in ``phase`` (0 if total is 0)."""
-        tot = self.total()
-        return self.phases.get(phase, 0.0) / tot if tot > 0 else 0.0
-
-    def mean(self, phase: str) -> float:
-        """Mean duration of one occurrence of ``phase``."""
-        c = self.counts.get(phase, 0)
-        return self.phases.get(phase, 0.0) / c if c else 0.0
-
-    def merged(self, other: "TimingRecord") -> "TimingRecord":
-        phases: Dict[str, float] = dict(self.phases)
-        counts: Dict[str, int] = dict(self.counts)
-        for k, v in other.phases.items():
-            phases[k] = phases.get(k, 0.0) + v
-        for k, c in other.counts.items():
-            counts[k] = counts.get(k, 0) + c
-        return TimingRecord(phases=phases, counts=counts)
-
-    def to_json(self) -> str:
-        """Round-trippable JSON (benchmark reports, telemetry sidecars)."""
-        return json.dumps(
-            {"phases": dict(self.phases), "counts": dict(self.counts)},
-            sort_keys=True,
-        )
-
     @classmethod
-    def from_json(cls, text: str) -> "TimingRecord":
-        data = json.loads(text)
-        return cls(
-            phases={str(k): float(v) for k, v in data["phases"].items()},
-            counts={str(k): int(v) for k, v in data["counts"].items()},
-        )
+    def from_spans(cls, *spans: Any) -> "TimingRecord":
+        """Sum closed spans' ``duration`` by ``name`` (one count each)."""
+        phases: Dict[str, float] = {}
+        counts: Dict[str, int] = {}
+        for s in spans:
+            phases[s.name] = phases.get(s.name, 0.0) + s.duration
+            counts[s.name] = counts.get(s.name, 0) + 1
+        return cls(phases=phases, counts=counts)
 
-
-@dataclass
-class Stopwatch:
-    """Accumulates wall-clock time per named phase.
-
-    Use as::
-
-        sw = Stopwatch()
-        with sw.phase("1st solve"):
-            ...
-
-    Nested phases of *different* names are allowed and accumulate
-    independently; re-entering a phase that is still running raises
-    (the inner exit would double-count the overlapped wall-clock).
-    """
-
-    _elapsed: Dict[str, float] = field(default_factory=dict)
-    _counts: Dict[str, int] = field(default_factory=dict)
-    _active: Set[str] = field(default_factory=set)
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        if name in self._active:
-            raise RuntimeError(
-                f"Stopwatch phase {name!r} is already running; re-entrant "
-                f"phase() of the same name would double-count its time"
-            )
-        self._active.add(name)
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self._active.discard(name)
-            dur = time.perf_counter() - start
-            self._elapsed[name] = self._elapsed.get(name, 0.0) + dur
-            self._counts[name] = self._counts.get(name, 0) + 1
-
-    def add(self, name: str, seconds: float, count: int = 1) -> None:
-        """Record ``seconds`` of (possibly simulated) time against ``name``."""
-        if seconds < 0:
-            raise ValueError("cannot record negative time")
-        self._elapsed[name] = self._elapsed.get(name, 0.0) + seconds
-        self._counts[name] = self._counts.get(name, 0) + count
-
-    def elapsed(self, name: str) -> float:
-        return self._elapsed.get(name, 0.0)
-
-    def record(self) -> TimingRecord:
-        return TimingRecord(phases=dict(self._elapsed), counts=dict(self._counts))
-
-    def reset(self) -> None:
-        self._elapsed.clear()
-        self._counts.clear()
-        self._active.clear()
+    def total(self) -> float:
+        # fsum over sorted keys: exact and independent of dict order.
+        return math.fsum(self.phases[k] for k in sorted(self.phases))

@@ -507,6 +507,27 @@ class TestAutotuneHardening:
         assert "tiled" not in record["timings"]
         assert record["checksum"] == _entry_checksum(record)
 
+    @pytest.mark.parametrize("failing", ["json.dump", "os.replace"])
+    def test_failed_persist_leaves_no_temp_file(
+        self, A, tmp_path, monkeypatch, failing
+    ):
+        import errno
+
+        from repro.sparse import autotune
+
+        reg, sel = self._tuned_selector(A, tmp_path)
+        before = (tmp_path / CACHE_FILENAME).read_bytes()
+
+        def _enospc(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        module, attr = failing.split(".")
+        monkeypatch.setattr(getattr(autotune, module), attr, _enospc)
+        sel._persist(tmp_path)  # swallowed: the cache stays memory-only
+        monkeypatch.undo()
+        assert list(tmp_path.glob(".autotune-*")) == []
+        assert (tmp_path / CACHE_FILENAME).read_bytes() == before
+
     def test_torn_read_fault_site(self, A, tmp_path):
         self._tuned_selector(A, tmp_path)
         reg = KernelRegistry()

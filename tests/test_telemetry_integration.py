@@ -16,7 +16,7 @@ import pytest
 import repro.telemetry as _telemetry
 from repro.cli import main
 from repro.core.mrhs import MrhsParameters, MrhsStokesianDynamics
-from repro.stokesian.dynamics import SDParameters
+from repro.stokesian.dynamics import SDParameters, StokesianDynamics
 from repro.stokesian.packing import random_configuration
 from repro.telemetry import TelemetryHub, read_trace
 from repro.telemetry.hub import METRICS_FILENAME, TRACE_FILENAME
@@ -94,6 +94,66 @@ class TestInstrumentedRun:
         assert any(
             k.startswith("gspmv.seconds") for k in doc["counters"]
         )
+
+
+STEP_PHASES = {
+    "Construct R", "Cheb single", "1st solve", "Neighbor search",
+    "Displace half", "Construct R half", "2nd solve", "Displace",
+}
+
+
+def _children(events, parent):
+    return [e for e in events if e.parent_id == parent.span_id]
+
+
+def _traced_runs(n, phi, m, seed=0):
+    """An Algorithm 1 run and one Algorithm 2 chunk on one system, each
+    with its own in-memory hub: ``[(step records, chunk records,
+    drained events), ...]``."""
+    system = random_configuration(n, phi, rng=seed)
+    hub = TelemetryHub(buffer_size=10**6)
+    orig = StokesianDynamics(system, SDParameters(), rng=seed + 1, telemetry=hub)
+    orig.run(m)
+    runs = [(orig.history, [], hub.tracer.drain())]
+    _telemetry.uninstall()
+    hub = TelemetryHub(buffer_size=10**6)
+    mrhs = _run_chunk(hub, m, seed=seed, n=n, phi=phi)
+    runs.append((mrhs.step_records(), mrhs.chunks, hub.tracer.drain()))
+    return runs
+
+
+class TestSingleTimingSource:
+    """The tracer's spans are the only phase clock, and the named
+    phases cover the whole step."""
+
+    def test_phase_values_are_the_span_durations(self):
+        for steps, chunks, events in _traced_runs(24, 0.2, m=3):
+            step_events = [e for e in events if e.name == "step"]
+            assert len(step_events) == len(steps) == 3
+            for rec, ev in zip(steps, step_events):
+                kids = {c.name: c.duration for c in _children(events, ev)}
+                assert set(kids) == STEP_PHASES
+                assert dict(rec.timings.phases) == kids
+                assert dict(rec.timings.counts) == dict.fromkeys(kids, 1)
+            for rec, ev in zip(chunks, [e for e in events if e.name == "chunk"]):
+                kids = {
+                    c.name: c.duration
+                    for c in _children(events, ev)
+                    if c.name != "step"
+                }
+                assert set(kids) == {"Construct R0", "Cheb vectors", "Calc guesses"}
+                assert dict(rec.chunk_timings.phases) == kids
+
+    def test_named_phases_cover_step_wall_time(self):
+        # n=400 at phi=0.4: the neighbor search and the displacements
+        # are about a quarter of the step, so without their phases the
+        # coverage falls to ~0.75.
+        for steps, _, events in _traced_runs(400, 0.4, m=3):
+            step_events = [e for e in events if e.name == "step"]
+            for rec, ev in zip(steps, step_events):
+                assert rec.timings.total() >= 0.95 * ev.duration, (
+                    rec.step_index, rec.timings.total() / ev.duration
+                )
 
 
 class TestCliTelemetry:

@@ -2,6 +2,8 @@
 
 import pytest
 
+import time
+
 from repro.telemetry import (
     NULL_SPAN,
     NULL_TRACER,
@@ -10,6 +12,7 @@ from repro.telemetry import (
     Tracer,
     read_trace,
 )
+from repro.util.timer import TimingRecord
 
 
 class _FakeClock:
@@ -171,10 +174,88 @@ class TestNullObjects:
         assert NULL_TRACER.close_open() == 0
         assert NULL_TRACER.open_spans == 0
         with NULL_TRACER.span("x") as span:
-            assert span is NULL_SPAN
+            assert NULL_TRACER.open_spans == 0
+        # The null span times its block but joins no stack or buffer.
+        assert span is not NULL_SPAN
+        assert span.name == "x" and span.duration >= 0.0
+        assert span.span_id == -1 and span.attrs == {}
+        assert NULL_TRACER.drain() == []
 
     def test_null_span_set_never_mutates_shared_attrs(self):
         NULL_SPAN.set(error="Poison")
         assert NULL_SPAN.attrs == {}
         NULL_SPAN.end(more="poison")
         assert NULL_SPAN.attrs == {}
+
+
+class TestPhaseClock:
+    """Spans are the drivers' only phase clock: each span carries its
+    own duration, and a :class:`TimingRecord` is built from spans."""
+
+    def test_span_duration_equals_its_event(self):
+        clock = _FakeClock()
+        tracer = Tracer(clock=clock)
+        with tracer.span("1st solve") as span:
+            assert span.duration == 0.0
+            clock.tick(0.75)
+        (event,) = tracer.buffered
+        assert span.duration == event.duration == 0.75
+
+    def test_leaked_span_keeps_the_duration_it_was_closed_with(self):
+        clock = _FakeClock()
+        tracer = Tracer(clock=clock)
+        chunk = tracer.start("chunk")
+        with tracer.span("Construct R") as phase:
+            clock.tick(1.0)
+            tracer.end(chunk)  # another owner closes the stack under it
+            clock.tick(5.0)
+        event = next(e for e in tracer.buffered if e.name == "Construct R")
+        assert event.attrs["leaked"] is True
+        assert phase.duration == event.duration == 1.0
+
+    @pytest.mark.parametrize("traced", [True, False], ids=["tracer", "null"])
+    def test_exception_inside_phase_still_recorded(self, traced):
+        tracer = Tracer() if traced else NULL_TRACER
+        with pytest.raises(RuntimeError):
+            with tracer.span("boom") as span:
+                time.sleep(0.002)
+                raise RuntimeError
+        assert span.duration >= 0.002
+        assert TimingRecord.from_spans(span).counts == {"boom": 1}
+
+    @pytest.mark.parametrize("traced", [True, False], ids=["tracer", "null"])
+    def test_nested_distinct_phases_accumulate_independently(self, traced):
+        tracer = Tracer() if traced else NULL_TRACER
+        with tracer.span("outer") as outer:
+            with tracer.span("inner") as inner:
+                time.sleep(0.002)
+            time.sleep(0.002)
+        rec = TimingRecord.from_spans(outer, inner)
+        assert rec.counts == {"outer": 1, "inner": 1}
+        assert rec.phases["inner"] >= 0.002
+        assert rec.phases["outer"] >= rec.phases["inner"] + 0.002
+
+    def test_same_named_phases_accumulate(self):
+        clock = _FakeClock()
+        tracer = Tracer(clock=clock)
+        spans = []
+        for dt in (1.0, 2.0):
+            with tracer.span("a") as span:
+                clock.tick(dt)
+            spans.append(span)
+        rec = TimingRecord.from_spans(*spans)
+        assert rec.counts == {"a": 2}
+        assert rec.phases == {"a": 3.0}
+        assert rec.total() == 3.0
+
+    def test_record_total_sums_distinct_phases(self):
+        clock = _FakeClock()
+        tracer = Tracer(clock=clock)
+        spans = []
+        for name, dt in (("a", 3.0), ("b", 1.0)):
+            with tracer.span(name) as span:
+                clock.tick(dt)
+            spans.append(span)
+        rec = TimingRecord.from_spans(*spans)
+        assert rec.phases == {"a": 3.0, "b": 1.0}
+        assert rec.total() == 4.0
