@@ -314,7 +314,8 @@ class MrhsStokesianDynamics:
         self._chunk_span = tr.start("chunk", chunk=len(self.chunks), m=m)
         try:
             with tr.span("Construct R0") as t_r0:
-                R0 = self.sd.build_matrix()
+                nl0 = self.sd.neighbor_list()
+                R0 = self.sd.build_matrix(neighbor_list=nl0)
             Z = self.sd.draw_noise(m)
             if Z.ndim == 1:
                 Z = Z[:, None]
@@ -345,6 +346,8 @@ class MrhsStokesianDynamics:
             fallback_columns=fallback,
             chunk_timings=TimingRecord.from_spans(t_r0, t_cheb, t_guess),
         )
+        # Step 0 starts from the same configuration: hand it R0.
+        self.sd._prepared = (self.sd.system, nl0, R0)
         if self.sd.health is not None:
             self.sd.health.observe_block(
                 chunk_index=self._pending.chunk_index,

@@ -37,7 +37,7 @@ from repro.solvers.chol import CholeskySolver
 from repro.solvers.refine import iterative_refinement
 from repro.stokesian.dynamics import SDParameters
 from repro.stokesian.integrators import apply_displacement
-from repro.stokesian.neighbors import neighbor_pairs
+from repro.stokesian.neighbors import NeighborList, neighbor_pairs
 from repro.stokesian.particles import ParticleSystem
 from repro.stokesian.resistance import build_resistance_matrix
 from repro.telemetry import NULL_TRACER
@@ -79,12 +79,18 @@ class CholeskyStokesianDynamics:
         self.history: List[CholeskyStepRecord] = []
 
     # ------------------------------------------------------------------
-    def build_matrix(self, system: Optional[ParticleSystem] = None):
+    def build_matrix(
+        self,
+        system: Optional[ParticleSystem] = None,
+        *,
+        neighbor_list: Optional[NeighborList] = None,
+    ):
         sys_ = system if system is not None else self.system
         return build_resistance_matrix(
             sys_,
             viscosity=self.params.viscosity,
             cutoff_gap=self.params.cutoff_gap,
+            neighbor_list=neighbor_list,
         )
 
     def step(self, *, z: Optional[np.ndarray] = None) -> CholeskyStepRecord:
@@ -94,8 +100,14 @@ class CholeskyStokesianDynamics:
         if z is None:
             z = self.rng.standard_normal(self.system.dof)
 
+        # One search of r_k serves R_k and both displacements.
+        with tr.span("Neighbor search") as t_nl:
+            gap = p.cutoff_gap
+            if gap is None:
+                gap = float(np.mean(self.system.radii))
+            nl = neighbor_pairs(self.system, max_gap=gap)
         with tr.span("Construct R") as t_r:
-            R_k = self.build_matrix()
+            R_k = self.build_matrix(neighbor_list=nl)
         with tr.span("Factor") as t_factor:
             chol = CholeskySolver(R_k)
         with tr.span("Brownian (exact)") as t_brown:
@@ -103,11 +115,6 @@ class CholeskyStokesianDynamics:
         with tr.span("1st solve (direct)") as t_first:
             u_k = chol.solve(-f_b)
 
-        with tr.span("Neighbor search") as t_nl:
-            gap = p.cutoff_gap
-            if gap is None:
-                gap = float(np.mean(self.system.radii))
-            nl = neighbor_pairs(self.system, max_gap=gap)
         with tr.span("Displace half") as t_half:
             half_system, _ = apply_displacement(
                 self.system, 0.5 * p.dt * u_k, nl, safety=p.overlap_safety
@@ -134,7 +141,7 @@ class CholeskyStokesianDynamics:
             refinement_iterations=refined.iterations,
             refinement_converged=refined.converged,
             timings=TimingRecord.from_spans(
-                t_r, t_factor, t_brown, t_first, t_nl, t_half, t_r_half,
+                t_nl, t_r, t_factor, t_brown, t_first, t_half, t_r_half,
                 t_second, t_full,
             ),
             factorizations=1,

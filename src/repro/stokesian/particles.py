@@ -92,6 +92,9 @@ class ParticleSystem:
         if np.any(2 * radii.max() > box):
             raise ValueError("box must be larger than the largest sphere diameter")
         positions = np.mod(positions, box)
+        # np.mod rounds a tiny negative coordinate up to exactly `box`
+        # (np.mod(-1e-18, 10.0) == 10.0); that point is the origin.
+        positions = np.where(positions >= box, 0.0, positions)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "box", box)

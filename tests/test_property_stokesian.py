@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.stokesian.chebyshev import ChebyshevSqrt
 from repro.stokesian.lubrication import pair_resistance_block
-from repro.stokesian.neighbors import neighbor_pairs
+from repro.stokesian.neighbors import _all_pairs, neighbor_pairs
 from repro.stokesian.particles import ParticleSystem
 from repro.stokesian.resistance import build_resistance_matrix, far_field_viscosity
 
@@ -124,6 +124,49 @@ class TestNeighborProperties:
         expected = set(zip(i[d <= cutoff].tolist(), j[d <= cutoff].tolist()))
         got = set(zip(nl.i.tolist(), nl.j.tolist()))
         assert got == expected
+
+
+@st.composite
+def tree_path_systems(draw):
+    """``(system, cutoff)`` whose box holds at least 3 cutoffs per side
+    (exactly 3 included), with coordinates at 0 and just below the box,
+    an optional NaN row and a pair at exactly the cutoff."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    cutoff = draw(st.integers(4, 24)) / 8.0
+    cells = np.array(draw(st.lists(st.integers(3, 6), min_size=3, max_size=3)))
+    extra = np.array(
+        draw(st.lists(st.sampled_from([0.0, 0.37, 0.9]), min_size=3, max_size=3))
+    )
+    box = (cells + extra) * cutoff
+    positions = rng.uniform(0.0, 1.0, (n, 3)) * box
+    faces = rng.integers(0, 3, (n, 3))
+    positions = np.where(faces == 1, 0.0, positions)
+    positions = np.where(faces == 2, np.nextafter(box, 0.0), positions)
+    if n >= 2 and draw(st.booleans()):
+        # Exactly representable, so the distance is exactly `cutoff`.
+        positions[1] = positions[0]
+        positions[0, 0], positions[1, 0] = 0.0, cutoff
+    if n >= 3 and draw(st.booleans()):
+        positions[2] = np.nan
+    system = ParticleSystem(positions, np.full(n, 0.1 * cutoff), box)
+    return system, cutoff
+
+
+class TestNeighborOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(case=tree_path_systems())
+    def test_tree_matches_all_pairs_bitwise(self, case):
+        """The k-d tree path returns the all-pairs oracle's arrays bit
+        for bit, in canonical (i, j) order."""
+        system, cutoff = case
+        assert np.all(np.floor(system.box / cutoff) >= 3)  # tree path
+        got = neighbor_pairs(system, cutoff=cutoff)
+        want = _all_pairs(system, cutoff)
+        for name in ("i", "j", "r_vec", "dist"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 class TestChebyshevProperties:

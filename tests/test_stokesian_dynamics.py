@@ -158,6 +158,80 @@ class TestStokesianDynamics:
         assert [r.step_index for r in sd.history] == [0, 1]
 
 
+@pytest.fixture
+def searches(monkeypatch):
+    """Configurations (position bytes) of every neighbor search the
+    drivers run, in call order."""
+    import repro.stokesian.cholesky_dynamics as chol
+    import repro.stokesian.dynamics as dyn
+    import repro.stokesian.resistance as res
+
+    log = []
+
+    def spy(system, **kwargs):
+        log.append(system.positions.tobytes())
+        return neighbor_pairs(system, **kwargs)
+
+    for module in (dyn, res, chol):
+        monkeypatch.setattr(module, "neighbor_pairs", spy)
+    return log
+
+
+class TestOneSearchPerConfiguration:
+    def test_algorithm1_step_searches_twice(self, small_system, searches):
+        StokesianDynamics(small_system, SDParameters(), rng=11).step()
+        assert len(searches) == len(set(searches)) == 2
+
+    def test_cholesky_step_searches_twice(self, small_system, searches):
+        from repro.stokesian.cholesky_dynamics import CholeskyStokesianDynamics
+
+        CholeskyStokesianDynamics(small_system, SDParameters(), rng=12).step()
+        assert len(searches) == len(set(searches)) == 2
+
+    def test_mrhs_chunk_searches_2m_times(self, small_system, searches):
+        from repro.core.mrhs import MrhsParameters, MrhsStokesianDynamics
+
+        MrhsStokesianDynamics(
+            small_system, SDParameters(), MrhsParameters(m=4), rng=13
+        ).run_chunk()
+        assert len(searches) == len(set(searches)) == 8
+
+    def test_reused_r0_is_bit_identical(self, small_system):
+        """Step 0 reusing R0 matches a step 0 that rebuilds R."""
+        from repro.core.mrhs import MrhsParameters, MrhsStokesianDynamics
+
+        drivers = [
+            MrhsStokesianDynamics(
+                small_system, SDParameters(), MrhsParameters(m=3), rng=14
+            )
+            for _ in range(2)
+        ]
+        for reuse, d in zip((True, False), drivers):
+            d.begin_chunk()
+            assert d.sd._prepared is not None
+            if not reuse:
+                d.sd._prepared = None
+            while d.pending is not None:
+                d.step_in_chunk()
+        a, b = (d.chunks[-1] for d in drivers)
+        assert a.first_solve_iterations == b.first_solve_iterations
+        np.testing.assert_array_equal(
+            drivers[0].system.positions, drivers[1].system.positions
+        )
+
+    def test_restored_driver_rebuilds(self, small_system, searches):
+        from repro.core.mrhs import MrhsParameters, MrhsStokesianDynamics
+
+        d = MrhsStokesianDynamics(
+            small_system, SDParameters(), MrhsParameters(m=2), rng=15
+        )
+        d.begin_chunk()
+        d.set_state(d.get_state())
+        assert d.sd._prepared is None
+        d.step_in_chunk()
+        assert len(searches) == 1 + 2
+
+
 class TestBrownianDynamics:
     def test_step_moves_particles(self):
         s = random_configuration(10, 0.1, rng=0)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.stokesian.neighbors import CellList, neighbor_pairs
+from repro.stokesian import neighbors
+from repro.stokesian.neighbors import neighbor_pairs
 from repro.stokesian.packing import (
     box_edge_for_fraction,
     default_clearance,
@@ -136,16 +137,21 @@ class TestNeighborPairs:
         nl = neighbor_pairs(s, cutoff=3.0 * float(s.radii.mean()))
         np.testing.assert_allclose(np.linalg.norm(nl.r_vec, axis=1), nl.dist)
 
-    def test_small_box_fallback(self):
-        """A box under 3 cells per side must fall back to all-pairs."""
+    def test_small_box_fallback(self, monkeypatch):
+        """A box under 3 cutoffs per side must fall back to all-pairs."""
         s = ParticleSystem(
             [[1.0, 1.0, 1.0], [3.0, 3.0, 3.0], [5.0, 1.0, 3.0]],
             [0.5, 0.5, 0.5],
             [6.0, 6.0, 6.0],
         )
-        cl = CellList(s, cutoff=2.5)
-        assert not cl.use_cells
-        nl = cl.pairs()
+        calls = []
+        all_pairs = neighbors._all_pairs
+        monkeypatch.setattr(
+            neighbors, "_all_pairs",
+            lambda *a: calls.append(a) or all_pairs(*a),
+        )
+        nl = neighbor_pairs(s, cutoff=2.5)
+        assert len(calls) == 1
         # Brute-force reference on the same geometry.
         i, j = np.triu_indices(s.n, k=1)
         d = s.minimum_image(s.positions[j] - s.positions[i])
@@ -158,11 +164,12 @@ class TestNeighborPairs:
         )
         nl = neighbor_pairs(s, cutoff=2.0)
         assert nl.n_pairs == 0
+        assert nl.r_vec.shape == (0, 3) and nl.dist.shape == (0,)
 
     def test_cutoff_validation(self):
         s = random_configuration(5, 0.1, rng=0)
         with pytest.raises(ValueError):
-            CellList(s, cutoff=0.0)
+            neighbor_pairs(s, cutoff=0.0)
         with pytest.raises(ValueError):
             neighbor_pairs(s, max_gap=-1.0)
 
@@ -173,3 +180,59 @@ class TestNeighborPairs:
         nl = neighbor_pairs(s, cutoff=1.5)
         assert nl.n_pairs == 1
         assert nl.dist[0] == pytest.approx(1.0)
+
+
+class TestTreePath:
+    """Boxes of at least 3 cutoffs per side take the k-d tree; its
+    arrays must equal the all-pairs oracle's bit for bit."""
+
+    @staticmethod
+    def assert_oracle(s, cutoff):
+        got = neighbor_pairs(s, cutoff=cutoff)
+        want = neighbors._all_pairs(s, cutoff)
+        for name in ("i", "j", "r_vec", "dist"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        return got
+
+    def test_does_not_scan_all_pairs(self, monkeypatch):
+        s = random_configuration(200, 0.3, rng=8)
+        cutoff = 2.0 * float(s.radii.mean())
+        assert np.all(np.floor(s.box / cutoff) >= 3)
+        want = neighbors._all_pairs(s, cutoff)
+        monkeypatch.setattr(neighbors, "_all_pairs", None)
+        got = neighbor_pairs(s, cutoff=cutoff)
+        assert got.n_pairs == want.n_pairs > 0
+        np.testing.assert_array_equal(got.r_vec, want.r_vec)
+
+    def test_exactly_three_cells_per_side(self):
+        # box / cutoff == 3 exactly; the pair sits at exactly the cutoff
+        # across the periodic boundary (0.25 -> 4.25 through the face).
+        s = ParticleSystem(
+            [[0.25, 1.0, 1.0], [4.25, 1.0, 1.0], [3.0, 3.0, 3.0]],
+            [0.1, 0.1, 0.1],
+            [6.0, 6.0, 6.0],
+        )
+        nl = self.assert_oracle(s, 2.0)
+        assert nl.n_pairs == 1 and nl.dist[0] == 2.0
+        np.testing.assert_array_equal(nl.r_vec[0], [-2.0, 0.0, 0.0])
+
+    def test_coordinates_at_zero_and_just_below_box(self):
+        below = np.nextafter(9.0, 0.0)
+        s = ParticleSystem(
+            [[0.0, 0.0, 0.0], [below, below, below], [4.5, 4.5, 4.5]],
+            [0.1, 0.1, 0.1],
+            [9.0, 9.0, 9.0],
+        )
+        nl = self.assert_oracle(s, 1.0)
+        assert (nl.i.tolist(), nl.j.tolist()) == ([0], [1])
+
+    def test_nan_row_has_no_neighbors(self):
+        s = ParticleSystem(
+            [[1.0, 1.0, 1.0], [np.nan, 1.0, 1.0], [1.5, 1.0, 1.0]],
+            [0.1, 0.1, 0.1],
+            [12.0, 12.0, 12.0],
+        )
+        nl = self.assert_oracle(s, 1.0)
+        assert (nl.i.tolist(), nl.j.tolist()) == ([0], [2])
